@@ -14,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bench89"
 	"repro/internal/cli"
+	"repro/internal/netlist"
 )
 
 // buildBinary compiles atpgrun once per test binary into a temp dir and
@@ -33,6 +35,32 @@ func buildBinary(t *testing.T) string {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	return bin
+}
+
+// bigNetlist writes a 14,000-gate, 1,200-flop synthetic netlist into a
+// temp dir and returns its path. ATPG on it runs for seconds, so the 300 ms
+// timeouts and the 400 ms SIGINT of the interruption tests always land
+// mid-run; the stand-ins are too quick for that.
+func bigNetlist(t *testing.T) string {
+	t.Helper()
+	c, err := bench89.Generate(bench89.Profile{
+		Name: "big", Inputs: 40, Outputs: 150, DFFs: 1200, Gates: 14000, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "big.bench")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := netlist.WriteBench(f, c); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 func exitCode(t *testing.T, err error) int {
@@ -82,7 +110,7 @@ func TestEarlyErrorFlushesTrace(t *testing.T) {
 // incomplete code and report partial patterns.
 func TestTimeoutExitsIncomplete(t *testing.T) {
 	bin := buildBinary(t)
-	out, err := exec.Command(bin, "-standin", "s15850", "-timeout", "300ms").CombinedOutput()
+	out, err := exec.Command(bin, "-f", bigNetlist(t), "-timeout", "300ms").CombinedOutput()
 	if code := exitCode(t, err); code != cli.ExitIncomplete {
 		t.Fatalf("exit %d, want %d\n%s", code, cli.ExitIncomplete, out)
 	}
@@ -99,7 +127,7 @@ func TestSIGINTExitsInterrupted(t *testing.T) {
 	}
 	bin := buildBinary(t)
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-	cmd := exec.Command(bin, "-standin", "s15850", "-checkpoint", ckpt, "-checkpoint-every", "8")
+	cmd := exec.Command(bin, "-f", bigNetlist(t), "-checkpoint", ckpt, "-checkpoint-every", "8")
 	cmd.Stdout = nil
 	cmd.Stderr = nil
 	if err := cmd.Start(); err != nil {
@@ -183,7 +211,7 @@ func TestWorkersTimeoutExitsIncomplete(t *testing.T) {
 	bin := buildBinary(t)
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 	out, err := exec.Command(bin,
-		"-standin", "s15850", "-workers", "4", "-timeout", "300ms",
+		"-f", bigNetlist(t), "-workers", "4", "-timeout", "300ms",
 		"-checkpoint", ckpt, "-checkpoint-every", "8").CombinedOutput()
 	if code := exitCode(t, err); code != cli.ExitIncomplete {
 		t.Fatalf("exit %d, want %d\n%s", code, cli.ExitIncomplete, out)

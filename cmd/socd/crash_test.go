@@ -9,6 +9,9 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/bench89"
+	"repro/internal/netlist"
 )
 
 // jobStatusResp is the slice of /v1/jobs/{id} these tests read.
@@ -89,9 +92,21 @@ func submitAsync(t *testing.T, d *daemon, path, body string) string {
 // run on a pristine daemon.
 func TestSigkillJournalReplayByteIdentical(t *testing.T) {
 	bin := buildBinary(t)
-	// s15850 runs ~2s on one worker: long enough to kill mid-flight, and
-	// long enough that its checkpoint file demonstrably lands first.
-	const heavy = `{"standin":"s15850"}`
+	// A 14,000-gate synthetic netlist runs for seconds on one worker: long
+	// enough to kill mid-flight, and long enough that its checkpoint file
+	// demonstrably lands first. The stand-ins finish too quickly for that.
+	big, err := bench89.Generate(bench89.Profile{
+		Name: "big", Inputs: 40, Outputs: 150, DFFs: 1200, Gates: 14000, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bigSrc bytes.Buffer
+	if err := netlist.WriteBench(&bigSrc, big); err != nil {
+		t.Fatal(err)
+	}
+	heavyReq, _ := json.Marshal(map[string]any{"bench": bigSrc.String()})
+	heavy := string(heavyReq)
 	tinyReq, _ := json.Marshal(map[string]any{"bench": tinyBench})
 
 	// The uninterrupted baseline, from a daemon that never crashes.
@@ -115,7 +130,7 @@ func TestSigkillJournalReplayByteIdentical(t *testing.T) {
 	cache := filepath.Join(dir, "cache")
 	journal := filepath.Join(dir, "journal.jsonl")
 	d := startDaemon(t, bin, "-workers", "1", "-cache-dir", cache, "-journal", journal)
-	heavyJob := submitAsync(t, d, "/v1/atpg", `{"standin":"s15850","async":true}`)
+	heavyJob := submitAsync(t, d, "/v1/atpg", `{"bench":`+string(mustQuote(t, bigSrc.String()))+`,"async":true}`)
 	tinyJob := submitAsync(t, d, "/v1/atpg", `{"bench":`+string(mustQuote(t, tinyBench))+`,"async":true}`)
 
 	waitJobState(t, d, heavyJob, "running", 30*time.Second)

@@ -415,7 +415,7 @@ func GenerateForFaultsContext(ctx context.Context, c *netlist.Circuit, flist []f
 	// computation the interrupted run was performing.
 	engine := rebaseEngine(c, flist, cubes, workers)
 	engine.Instrument(col)
-	pd := newPodem(c, opts.BacktrackLimit, opts.FaultBudget, col)
+	pd := newPodem(engine.Program(), opts.BacktrackLimit, opts.FaultBudget, col)
 	cTargeted := col.Counter("atpg.faults.targeted")
 	cDetDet := col.Counter("atpg.detected.deterministic")
 	cDegraded := col.Counter("atpg.degraded")
@@ -505,7 +505,7 @@ func GenerateForFaultsContext(ctx context.Context, c *netlist.Circuit, flist []f
 	for pass := 2; pass <= opts.Passes; pass++ {
 		limit *= 10
 		spanEsc := col.StartSpan("atpg.phase.escalate")
-		retry := newPodem(c, limit, opts.FaultBudget, col)
+		retry := newPodem(engine.Program(), limit, opts.FaultBudget, col)
 		var targets []faults.Fault
 		for f, st := range failed {
 			if st == Aborted {

@@ -11,14 +11,16 @@
 package atpg
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/faultsim"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // Status classifies the outcome of targeting one fault.
@@ -56,15 +58,28 @@ func (s Status) String() string {
 }
 
 // podem is the per-circuit search engine. It is reused across faults.
+//
+// Implication is incremental. values persists across one fault's search:
+// imply undoes the trail back to the first stack position that changed
+// since the last call and applies the remaining assignments one at a time,
+// each propagated event-driven, level by level, through the compiled
+// Program's combinational fanout. The D-frontier is scanned over the fault
+// site's fanout cone only, once per implication, and the X-path check walks
+// forward from the frontier instead of backward from every output.
 type podem struct {
-	c      *netlist.Circuit
-	values []logic.V
-	ppis   []netlist.GateID
-	ppos   []netlist.GateID
-	piPos  map[netlist.GateID]int // pseudo input -> cube position
+	c     *netlist.Circuit
+	prog  *faultsim.Program
+	specs []faultsim.GateSpec // compiled gate forms, indexed by gate
+	ppis  []netlist.GateID
+	piPos map[netlist.GateID]int // pseudo input -> cube position
 
 	fault  faults.Fault
 	dffPin bool // fault is a branch fault on a DFF data pin
+	// Injection sites of the fault in the evaluation: the gate whose output
+	// carries the faulty value (stem faults), and the gate and pin that see
+	// a faulty branch value (branch faults off DFF data pins); -1 when none.
+	stemGate, branchGate int32
+	branchPin            int
 
 	// base carries immutable pre-assignments for dynamic compaction: the
 	// already-committed bits of the cube being extended. Nil outside
@@ -86,28 +101,77 @@ type podem struct {
 	cDecisions    *obs.Counter // atpg.decisions
 	cImplications *obs.Counter // atpg.implications
 
-	scratch []logic.V
-	xreach  []bool // scratch for the X-path check
-	xmark   []bool
+	// Implication state. xstate is the fault-free all-X evaluation
+	// (constants propagated), the starting point of every search. trail
+	// records (gate, previous value) for every change since the search's
+	// base state; marks[i] is the trail length before applied[i], the
+	// assignment stack the current values reflect.
+	values  []logic.V
+	xstate  []logic.V
+	trail   []undo
+	applied []assignment
+	marks   []int32
+	buckets [][]int32 // per-level event queues
+
+	// Fault-cone state: the combinational gates of the site's transitive
+	// fanout in topological order, and the pseudo outputs among the site
+	// and its fanout. df caches the D-frontier of the current values.
+	pos     []int32 // topological position of each combinational gate
+	ppo     []bool  // gate is in the pseudo-output frame
+	cone    []int32
+	conePPO []int32
+	df      []int32
+	dfValid bool
+
+	// Epoch-stamped marks shared by event de-duplication, the cone walk
+	// and the X-path search: gate g is marked iff stamp[g] == epoch.
+	stamp []uint32
+	epoch uint32
+	walk  []int32 // DFS stack scratch
 }
 
-func newPodem(c *netlist.Circuit, limit int, budget time.Duration, col *obs.Collector) *podem {
+// undo is one trail entry: gate id held old before a change.
+type undo struct {
+	id  int32
+	old logic.V
+}
+
+func newPodem(prog *faultsim.Program, limit int, budget time.Duration, col *obs.Collector) *podem {
+	c := prog.Circuit()
+	n := prog.NumGates()
 	p := &podem{
 		c:             c,
-		values:        make([]logic.V, c.NumGates()),
-		ppis:          c.PseudoInputs(),
-		ppos:          c.PseudoOutputs(),
+		prog:          prog,
+		specs:         make([]faultsim.GateSpec, n),
+		ppis:          prog.PPIs(),
 		piPos:         make(map[netlist.GateID]int),
 		limit:         limit,
 		budget:        budget,
 		cBacktracks:   col.Counter("atpg.backtracks"),
 		cDecisions:    col.Counter("atpg.decisions"),
 		cImplications: col.Counter("atpg.implications"),
-		xreach:        make([]bool, c.NumGates()),
-		xmark:         make([]bool, c.NumGates()),
+		values:        make([]logic.V, n),
+		xstate:        make([]logic.V, n),
+		buckets:       make([][]int32, prog.NumLevels()),
+		pos:           make([]int32, n),
+		ppo:           make([]bool, n),
+		stamp:         make([]uint32, n),
 	}
 	for i, id := range p.ppis {
 		p.piPos[id] = i
+	}
+	for _, id := range prog.PPOs() {
+		p.ppo[id] = true
+	}
+	for id := range p.specs {
+		p.specs[id] = prog.Spec(int32(id))
+	}
+	for i := range p.xstate {
+		p.xstate[i] = logic.X
+	}
+	for i, id := range prog.Order() {
+		p.pos[id] = int32(i)
+		p.xstate[id] = evalSpec(p.specs[id], p.xstate, -1, logic.X)
 	}
 	return p
 }
@@ -132,9 +196,7 @@ func (p *podem) run(f faults.Fault) (logic.Cube, Status) {
 // compatible with this cube", which is reported as Aborted, not Redundant:
 // redundancy can only be proven by an unconstrained search.
 func (p *podem) runWithBase(f faults.Fault, base logic.Cube) (logic.Cube, Status) {
-	p.fault = f
-	p.dffPin = f.Pin != faults.StemPin && p.c.Gate(f.Gate).Type == netlist.DFF
-	p.base = base
+	p.reset(f, base)
 	p.backtracks = 0
 	p.degraded = false
 	if p.budget > 0 {
@@ -231,51 +293,186 @@ const (
 	searchDead
 )
 
-// imply performs full five-valued forward implication with the target fault
-// injected, over the current partial input assignment.
+// reset targets fault f under base and builds the search's base state:
+// the all-X values with the fault injected and the base bits applied. It
+// is computed once per search; the trail starts empty above it.
+func (p *podem) reset(f faults.Fault, base logic.Cube) {
+	p.fault = f
+	p.dffPin = f.Pin != faults.StemPin && p.c.Gate(f.Gate).Type == netlist.DFF
+	p.base = base
+	p.stemGate, p.branchGate, p.branchPin = -1, -1, -1
+	switch {
+	case f.Pin == faults.StemPin:
+		p.stemGate = int32(f.Gate)
+	case !p.dffPin:
+		p.branchGate, p.branchPin = int32(f.Gate), f.Pin
+	}
+	copy(p.values, p.xstate)
+	p.trail, p.applied, p.marks = p.trail[:0], p.applied[:0], p.marks[:0]
+	p.dfValid = false
+	p.nextEpoch()
+	if site := int32(f.Gate); !p.dffPin && p.specs[site].Kind != faultsim.OpSource {
+		p.schedule(site) // re-evaluate a combinational site with the fault injected
+	}
+	for i, v := range p.base {
+		if v.Binary() {
+			p.setSource(int32(p.ppis[i]), v)
+		}
+	}
+	p.propagate()
+	p.trail = p.trail[:0]
+	p.buildCone()
+}
+
+// imply brings the values up to date with the assignment stack: it undoes
+// the trail back to the first position where stack differs from the stack
+// it last applied, then applies the remaining assignments one at a time.
+// The result equals a full five-valued forward implication of the base
+// state plus stack, with the target fault injected.
 func (p *podem) imply(stack []assignment) {
-	for i := range p.values {
-		p.values[i] = logic.X
+	p.dfValid = false
+	i := 0
+	for i < len(stack) && i < len(p.applied) &&
+		stack[i].pi == p.applied[i].pi && stack[i].value == p.applied[i].value {
+		i++
 	}
-	if p.base != nil {
-		for i, v := range p.base {
-			if v.Binary() {
-				p.values[p.ppis[i]] = v
-			}
+	if i < len(p.applied) {
+		mark := int(p.marks[i])
+		for k := len(p.trail) - 1; k >= mark; k-- {
+			p.values[p.trail[k].id] = p.trail[k].old
 		}
+		p.trail, p.applied, p.marks = p.trail[:mark], p.applied[:i], p.marks[:i]
 	}
-	for _, a := range stack {
-		p.values[a.pi] = a.value
+	for _, a := range stack[i:] {
+		p.marks = append(p.marks, int32(len(p.trail)))
+		p.applied = append(p.applied, assignment{pi: a.pi, value: a.value})
+		p.nextEpoch()
+		p.setSource(int32(a.pi), a.value)
+		p.propagate()
 	}
-	// Inject at a source site (PI or DFF output stem fault).
-	if p.fault.Pin == faults.StemPin {
-		g := p.c.Gate(p.fault.Gate)
-		if g.Type == netlist.Input || g.Type == netlist.DFF {
-			p.values[p.fault.Gate] = faultyValue(p.values[p.fault.Gate], p.fault.Stuck)
-		}
+}
+
+// setSource assigns a pseudo input, injecting a stem fault on it.
+func (p *podem) setSource(id int32, v logic.V) {
+	if id == p.stemGate {
+		v = faultyValue(v, p.fault.Stuck)
 	}
-	for _, id := range p.c.TopoOrder() {
-		g := p.c.Gate(id)
-		if cap(p.scratch) < len(g.Fanin) {
-			p.scratch = make([]logic.V, len(g.Fanin))
-		}
-		in := p.scratch[:len(g.Fanin)]
-		for j, fin := range g.Fanin {
-			in[j] = p.values[fin]
-			// Branch fault on pin j of this gate: the gate sees the
-			// faulty branch value.
-			if !p.dffPin && p.fault.Pin == j && p.fault.Gate == id {
-				in[j] = faultyValue(in[j], p.fault.Stuck)
-			}
-		}
-		v := sim.EvalGate(g.Type, in)
-		// Stem fault on a combinational gate: the line downstream of the
-		// gate carries the faulty composite value.
-		if p.fault.Pin == faults.StemPin && p.fault.Gate == id {
-			v = faultyValue(v, p.fault.Stuck)
-		}
+	p.set(id, v)
+}
+
+// set changes gate id to v, recording the old value on the trail and
+// scheduling the gate's fanout.
+func (p *podem) set(id int32, v logic.V) {
+	if old := p.values[id]; old != v {
+		p.trail = append(p.trail, undo{id, old})
 		p.values[id] = v
+		for _, g := range p.prog.Fanout(id) {
+			p.schedule(g)
+		}
 	}
+}
+
+// schedule queues gate id for re-evaluation, at most once per epoch.
+func (p *podem) schedule(id int32) {
+	if p.stamp[id] != p.epoch {
+		p.stamp[id] = p.epoch
+		l := p.prog.Level(id)
+		p.buckets[l] = append(p.buckets[l], id)
+	}
+}
+
+// propagate drains the event queues in level order. A gate's fanout sits
+// on strictly higher levels, so each level is final once reached.
+func (p *podem) propagate() {
+	for l := range p.buckets {
+		for _, id := range p.buckets[l] {
+			p.set(id, p.eval(id))
+		}
+		p.buckets[l] = p.buckets[l][:0]
+	}
+}
+
+// nextEpoch invalidates every stamp mark in O(1) (O(n) on wrap-around).
+func (p *podem) nextEpoch() {
+	p.epoch++
+	if p.epoch == 0 {
+		for i := range p.stamp {
+			p.stamp[i] = 0
+		}
+		p.epoch = 1
+	}
+}
+
+// eval evaluates combinational gate id over the current values with the
+// target fault injected: a faulty branch value on the fault's pin, or the
+// faulty composite on the fault's output stem.
+func (p *podem) eval(id int32) logic.V {
+	var v logic.V
+	if id == p.branchGate {
+		pin := p.specs[id].Fanin[p.branchPin]
+		v = evalSpec(p.specs[id], p.values, p.branchPin, faultyValue(p.values[pin], p.fault.Stuck))
+	} else {
+		v = evalSpec(p.specs[id], p.values, -1, logic.X)
+	}
+	if id == p.stemGate {
+		v = faultyValue(v, p.fault.Stuck)
+	}
+	return v
+}
+
+// Five-valued truth tables of the two-input primitives, built from package
+// logic so they are that algebra by construction.
+var (
+	and5, or5, xor5 [5][5]logic.V
+	not5            [5]logic.V
+)
+
+func init() {
+	for a := logic.Zero; a <= logic.DBar; a++ {
+		not5[a] = logic.Not(a)
+		for b := logic.Zero; b <= logic.DBar; b++ {
+			and5[a][b], or5[a][b], xor5[a][b] = logic.And(a, b), logic.Or(a, b), logic.Xor(a, b)
+		}
+	}
+}
+
+// evalSpec evaluates one compiled gate over five-valued values, reading
+// fanin j from vals[s.Fanin[j]] except pin, which reads pinV (pin -1: no
+// override). Multi-input gates left-fold their two-input primitive from
+// its identity, so an X collapses the running value at each step exactly
+// as logic.AndN/OrN/XorN do — OR(D, X, D̄) is X, not 1.
+func evalSpec(s faultsim.GateSpec, vals []logic.V, pin int, pinV logic.V) logic.V {
+	var tab *[5][5]logic.V
+	r := logic.Zero
+	switch s.Kind {
+	case faultsim.OpBuf:
+		r = vals[s.Fanin[0]]
+		if pin == 0 {
+			r = pinV
+		}
+	case faultsim.OpAnd:
+		tab, r = &and5, logic.One
+	case faultsim.OpOr:
+		tab = &or5
+	case faultsim.OpXor:
+		tab = &xor5
+	case faultsim.OpConst:
+	default:
+		panic(fmt.Sprintf("atpg: evaluation of non-combinational gate kind %v", s.Kind))
+	}
+	if tab != nil {
+		for j, f := range s.Fanin {
+			v := vals[f]
+			if j == pin {
+				v = pinV
+			}
+			r = tab[r][v]
+		}
+	}
+	if s.Invert {
+		r = not5[r]
+	}
+	return r
 }
 
 // faultyValue maps the good value of the faulty line to its five-valued
@@ -311,7 +508,7 @@ func (p *podem) state() searchState {
 			return searchOpen
 		}
 	}
-	for _, id := range p.ppos {
+	for _, id := range p.conePPO {
 		if p.values[id].Faulty() {
 			return searchSuccess
 		}
@@ -347,72 +544,105 @@ func (p *podem) siteValue() logic.V {
 	return faultyValue(p.values[drv], p.fault.Stuck)
 }
 
-// dFrontier lists gates with an X output and at least one faulty input
-// (considering the injected branch value where applicable).
-func (p *podem) dFrontier() []netlist.GateID {
-	var df []netlist.GateID
-	for _, id := range p.c.TopoOrder() {
+// buildCone collects the fault site's combinational fanout cone — the only
+// gates that can ever carry or receive a fault effect — in topological
+// order, plus the pseudo outputs among the site and its cone.
+func (p *podem) buildCone() {
+	p.cone, p.conePPO = p.cone[:0], p.conePPO[:0]
+	if p.dffPin {
+		return // observed at the capture; no propagation search
+	}
+	site := int32(p.fault.Gate)
+	p.nextEpoch()
+	p.stamp[site] = p.epoch
+	if p.ppo[site] {
+		p.conePPO = append(p.conePPO, site)
+	}
+	if p.specs[site].Kind != faultsim.OpSource {
+		p.cone = append(p.cone, site)
+	}
+	walk := append(p.walk[:0], site)
+	for len(walk) > 0 {
+		n := walk[len(walk)-1]
+		walk = walk[:len(walk)-1]
+		for _, g := range p.prog.Fanout(n) {
+			if p.stamp[g] != p.epoch {
+				p.stamp[g] = p.epoch
+				p.cone = append(p.cone, g)
+				if p.ppo[g] {
+					p.conePPO = append(p.conePPO, g)
+				}
+				walk = append(walk, g)
+			}
+		}
+	}
+	p.walk = walk
+	slices.SortFunc(p.cone, func(a, b int32) int { return cmp.Compare(p.pos[a], p.pos[b]) })
+}
+
+// dFrontier lists the gates with an X output and at least one faulty input
+// (considering the injected branch value where applicable), in topological
+// order. Only the fault cone can hold such gates. The list is computed once
+// per implication.
+func (p *podem) dFrontier() []int32 {
+	if p.dfValid {
+		return p.df
+	}
+	p.df = p.df[:0]
+	for _, id := range p.cone {
 		if p.values[id] != logic.X {
 			continue
 		}
-		g := p.c.Gate(id)
-		for j, fin := range g.Fanin {
+		for j, fin := range p.specs[id].Fanin {
 			v := p.values[fin]
-			if !p.dffPin && p.fault.Pin == j && p.fault.Gate == id {
+			if id == p.branchGate && j == p.branchPin {
 				v = faultyValue(v, p.fault.Stuck)
 			}
 			if v.Faulty() {
-				df = append(df, id)
+				p.df = append(p.df, id)
 				break
 			}
 		}
 	}
-	return df
+	p.dfValid = true
+	return p.df
 }
 
 // xPathExists reports whether some D-frontier gate reaches a pseudo output
-// through X-valued gates only.
+// through X-valued gates only. The search runs forward over the
+// combinational fanout: only a still-undetermined observation point can
+// ever show the fault effect, and a path through a DFF data pin ends at
+// that pin's driver, itself an X pseudo output.
 func (p *podem) xPathExists() bool {
-	for i := range p.xreach {
-		p.xreach[i] = false
-		p.xmark[i] = false
-	}
-	for _, id := range p.ppos {
-		// Only a still-undetermined observation point can ever show the
-		// fault effect; binary outputs are frozen under further refinement.
-		if p.values[id] == logic.X {
-			p.markObserved(id)
+	p.nextEpoch()
+	walk := p.walk[:0]
+	found := false
+	for _, d := range p.dFrontier() {
+		if found {
+			break
 		}
-	}
-	for _, id := range p.dFrontier() {
-		if p.xreach[id] {
-			return true
-		}
-	}
-	return false
-}
-
-// markObserved marks id and, transitively backwards over X-valued gates,
-// everything that can still steer a fault effect to an observation point.
-// We approximate by a forward reachability instead: from each X gate we ask
-// whether an X path leads to a pseudo output. To keep it linear we compute
-// reverse reachability from observed points across X-valued gates.
-func (p *podem) markObserved(id netlist.GateID) {
-	stack := []netlist.GateID{id}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if p.xmark[n] {
+		if p.stamp[d] == p.epoch {
 			continue
 		}
-		p.xmark[n] = true
-		p.xreach[n] = true
-		for _, fin := range p.c.Gate(n).Fanin {
-			if p.values[fin] == logic.X && !p.xmark[fin] {
-				stack = append(stack, fin)
+		p.stamp[d] = p.epoch
+		walk = append(walk[:0], d)
+		for len(walk) > 0 {
+			n := walk[len(walk)-1]
+			walk = walk[:len(walk)-1]
+			if p.ppo[n] {
+				found = true
+				break
+			}
+			for _, g := range p.prog.Fanout(n) {
+				if p.values[g] == logic.X && p.stamp[g] != p.epoch {
+					p.stamp[g] = p.epoch
+					walk = append(walk, g)
+				}
 			}
 		}
 	}
+	p.walk = walk
+	return found
 }
 
 // nextObjective produces the next (pseudo input, value) decision via the
@@ -436,7 +666,7 @@ func (p *podem) nextObjective() (netlist.GateID, logic.V, bool) {
 	if len(df) == 0 {
 		return 0, logic.X, false
 	}
-	g := p.c.Gate(df[0])
+	g := p.c.Gate(netlist.GateID(df[0]))
 	for j, fin := range g.Fanin {
 		if p.values[fin] != logic.X {
 			continue

@@ -243,6 +243,11 @@ func (e *Engine) Coverage() float64 {
 	return float64(e.nDetected) / float64(len(e.flist))
 }
 
+// Program returns the compiled circuit the engine simulates, so other
+// per-circuit engines (the PODEM search) can share it instead of compiling
+// a second copy. A Program is immutable.
+func (e *Engine) Program() *Program { return e.prog }
+
 // Remaining returns the still-undetected faults (a fresh slice).
 func (e *Engine) Remaining() []faults.Fault {
 	out := make([]faults.Fault, 0, len(e.remaining))

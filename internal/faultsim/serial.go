@@ -4,7 +4,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/logic"
 	"repro/internal/netlist"
-	"repro/internal/sim"
 )
 
 // SerialSimulate is the pattern-at-a-time serial reference fault simulator:
@@ -113,8 +112,8 @@ func serialPatternDetects(c *netlist.Circuit, p logic.Cube, good, bad []bool, f 
 }
 
 // SerialDetects reports whether the single fully specified pattern detects
-// the fault. It is an independent, deliberately simple implementation
-// (recursive evaluation with memoization, one pattern at a time) used as the
+// the fault. It shares the serial reference's evaluator (one good and one
+// faulty full topological pass over plain bools) and is used as the
 // reference oracle for the bit-parallel engine in tests, and by the ATPG to
 // confirm generated patterns. X bits in the pattern are treated as 0,
 // matching Engine.Apply.
@@ -127,73 +126,12 @@ func SerialDetects(c *netlist.Circuit, pattern logic.Cube, f faults.Fault) bool 
 // the pattern does not detect the fault). Package diag builds fault
 // dictionaries from it.
 func SerialFailingOutputs(c *netlist.Circuit, pattern logic.Cube, f faults.Fault) []int {
-	ppis := c.PseudoInputs()
-	if len(pattern) != len(ppis) {
-		panic("faultsim: pattern width mismatch")
-	}
-	in := make(map[netlist.GateID]bool, len(ppis))
-	for i, id := range ppis {
-		in[id] = pattern[i] == logic.One
-	}
-
-	stuck := f.Stuck == logic.One
-
-	var evalGood func(id netlist.GateID) bool
-	var evalBad func(id netlist.GateID) bool
-	goodMemo := make(map[netlist.GateID]bool)
-	badMemo := make(map[netlist.GateID]bool)
-
-	evalGate := func(g *netlist.Gate, eval func(netlist.GateID) bool, faultyPin int) bool {
-		vals := make([]logic.V, len(g.Fanin))
-		for j, fin := range g.Fanin {
-			if j == faultyPin {
-				vals[j] = logic.FromBool(stuck)
-			} else {
-				vals[j] = logic.FromBool(eval(fin))
-			}
-		}
-		return sim.EvalGate(g.Type, vals) == logic.One
-	}
-
-	evalGood = func(id netlist.GateID) bool {
-		if v, ok := goodMemo[id]; ok {
-			return v
-		}
-		g := c.Gate(id)
-		var v bool
-		if g.Type == netlist.Input || g.Type == netlist.DFF {
-			v = in[id]
-		} else {
-			v = evalGate(g, evalGood, -999)
-		}
-		goodMemo[id] = v
-		return v
-	}
-	evalBad = func(id netlist.GateID) bool {
-		if v, ok := badMemo[id]; ok {
-			return v
-		}
-		g := c.Gate(id)
-		var v bool
-		switch {
-		case f.Pin == faults.StemPin && id == f.Gate:
-			v = stuck
-		case g.Type == netlist.Input || g.Type == netlist.DFF:
-			v = in[id]
-		case f.Pin != faults.StemPin && id == f.Gate:
-			v = evalGate(g, evalBad, f.Pin)
-		default:
-			v = evalGate(g, evalBad, -999)
-		}
-		badMemo[id] = v
-		return v
-	}
-
+	good := make([]bool, c.NumGates())
+	serialEval(c, pattern, noFault, good)
 	// A branch fault on a DFF data pin is observed at that DFF's capture
 	// frame position.
-	if f.Pin != faults.StemPin && c.Gate(f.Gate).Type == netlist.DFF {
-		drv := c.Gate(f.Gate).Fanin[f.Pin]
-		if evalGood(drv) == stuck {
+	if g := c.Gate(f.Gate); f.Pin != faults.StemPin && g.Type == netlist.DFF {
+		if good[g.Fanin[f.Pin]] == (f.Stuck == logic.One) {
 			return nil
 		}
 		for i, d := range c.DFFs() {
@@ -203,10 +141,11 @@ func SerialFailingOutputs(c *netlist.Circuit, pattern logic.Cube, f faults.Fault
 		}
 		return nil
 	}
-
+	bad := make([]bool, c.NumGates())
+	serialEval(c, pattern, f, bad)
 	var fails []int
 	for i, id := range c.PseudoOutputs() {
-		if evalGood(id) != evalBad(id) {
+		if good[id] != bad[id] {
 			fails = append(fails, i)
 		}
 	}

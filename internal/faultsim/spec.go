@@ -98,3 +98,12 @@ func (p *Program) PPIs() []netlist.GateID { return p.ppis }
 // PPOs returns the pseudo-output frame (observation order) the Program was
 // compiled with. The caller must not modify the returned slice.
 func (p *Program) PPOs() []netlist.GateID { return p.ppos }
+
+// Fanout returns the combinational fanout of gate id — the gates that read
+// it, with edges into DFF data pins cut, exactly as the kernel propagates.
+// The caller must not modify the returned slice.
+func (p *Program) Fanout(id int32) []int32 { return p.fanouts[p.fanoutOff[id]:p.fanoutOff[id+1]] }
+
+// Level returns the combinational level of gate id; sources are level 0 and
+// every gate sits strictly above all of its fanins.
+func (p *Program) Level(id int32) int32 { return p.level[id] }

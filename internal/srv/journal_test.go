@@ -166,6 +166,40 @@ func TestJournalReplayEdgeCases(t *testing.T) {
 	}
 }
 
+// TestJournalReplaySkipsEq2Violation: a journaled tdv admission whose
+// tmono violates Eq. 2 (written before admission checked it) is skipped
+// and counted at replay — never run into the engine's panic — while the
+// valid admission next to it still replays.
+func TestJournalReplaySkipsEq2Violation(t *testing.T) {
+	dir := t.TempDir()
+	jpath := filepath.Join(dir, "journal.jsonl")
+	low := 1
+	badReq, _ := json.Marshal(tdvRequest{Builtin: "d695", TMono: &low})
+	goodReq, _ := json.Marshal(tdvRequest{Builtin: "d695"})
+	var buf strings.Builder
+	buf.WriteString(journalLine(t, journalRecord{V: 1, Op: opAdmit, Job: "j1", Seq: 1, Kind: "tdv", Req: badReq}))
+	buf.WriteString(journalLine(t, journalRecord{V: 1, Op: opAdmit, Job: "j2", Seq: 2, Kind: "tdv", Req: goodReq}))
+	if err := os.WriteFile(jpath, []byte(buf.String()), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	s, reg := newTestServer(t, Config{Workers: 1, JournalPath: jpath})
+	if st, _, _, _, _ := waitDone(t, s, "j2").snapshot(); st != stateDone {
+		t.Fatalf("valid replayed job ended %v", st)
+	}
+	if s.lookup("j1") != nil {
+		t.Error("Eq. 2-violating admission was replayed")
+	}
+	for name, want := range map[string]int64{
+		"srv.journal.unsupported": 1,
+		"srv.journal.replayed":    1,
+		"srv.jobs.failed":         0,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}
+
 // TestJournalAppendFailureIsCountedNotFatal: an armed journal-append
 // failpoint (a dying disk) must not fail the admission it was recording.
 func TestJournalAppendFailureIsCountedNotFatal(t *testing.T) {

@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/itc02"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -205,6 +207,58 @@ func TestTDVEndpoint(t *testing.T) {
 	if bytes.Equal(over.Body.Bytes(), rec.Body.Bytes()) {
 		t.Error("tmono override produced the unmodified report")
 	}
+}
+
+// TestTDVRejectsTMonoViolatingEq2: a tmono below the largest module pattern
+// count (or a negative one), whether from the request or from the .soc
+// source's own tmono line, is a 400 naming the violated equation. Nothing
+// is queued, run, failed or cached.
+func TestTDVRejectsTMonoViolatingEq2(t *testing.T) {
+	s, reg := newTestServer(t, Config{Workers: 1})
+	h := s.Handler()
+	lowSOC, _ := json.Marshal(map[string]any{
+		"soc": "soc low\ntmono 5\nmodule Top i 4 o 4 b 0 s 0 t 3 children A\nmodule A i 2 o 2 b 0 s 10 t 40\ntop Top\n",
+	})
+	for _, tc := range []struct{ body, want string }{
+		{`{"builtin":"d695","tmono":1}`, "Eq. 2"},
+		{`{"builtin":"d695","tmono":-5}`, "negative"},
+		{string(lowSOC), "Eq. 2"},
+	} {
+		rec := post(t, h, "/v1/tdv", tc.body)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("POST /v1/tdv %s = %d %s, want 400", tc.body, rec.Code, rec.Body)
+			continue
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, tc.want) {
+			t.Errorf("POST /v1/tdv %s: error %q does not mention %q", tc.body, rec.Body, tc.want)
+		}
+	}
+	snap := reg.Snapshot().Counters
+	for _, name := range []string{"srv.jobs.enqueued", "srv.jobs.executed", "srv.jobs.failed", "store.puts"} {
+		if snap[name] != 0 {
+			t.Errorf("%s = %d after rejected requests, want 0", name, snap[name])
+		}
+	}
+	if n := s.store.Len(); n != 0 {
+		t.Errorf("store holds %d artifacts after rejected requests", n)
+	}
+	// The boundary itself is legal: tmono equal to max_i T_i.
+	if rec := post(t, h, "/v1/tdv", `{"builtin":"d695","tmono":`+tmaxOf(t, "d695")+`}`); rec.Code != http.StatusOK {
+		t.Errorf("tmono = T_max: %d %s", rec.Code, rec.Body)
+	}
+}
+
+// tmaxOf returns the largest module pattern count of a built-in SOC.
+func tmaxOf(t *testing.T, name string) string {
+	t.Helper()
+	soc, err := itc02.SOCByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strconv.Itoa(soc.MaxPatterns())
 }
 
 // TestLintEndpoint checks both lint modes and the diagnostics wire shape.
