@@ -21,7 +21,7 @@ import (
 	"repro/internal/bench89"
 	"repro/internal/core"
 	"repro/internal/report"
-	"repro/internal/scan"
+	"repro/internal/tam"
 )
 
 var benchOnce sync.Once
@@ -280,34 +280,41 @@ func BenchmarkAblationCompaction(b *testing.B) {
 
 // BenchmarkAblationTAMIdleBits quantifies what the paper's "useful bits
 // only" accounting excludes: idle padding bits when scan chains are
-// imbalanced, for a stand-in s1423 core under 4 chains.
+// imbalanced, for a stand-in s1423 core under 4 chains. Each chain is
+// modelled as a tam.WrapperChains entry of equal scan-in and scan-out
+// length, so idle bits count both shift directions.
 func BenchmarkAblationTAMIdleBits(b *testing.B) {
 	prof, _ := bench89.ProfileByName("s1423")
-	c := bench89.MustGenerate(prof)
-	patterns := 62 // the core's published pattern count
+	cells := len(bench89.MustGenerate(prof).DFFs())
+	patterns := int64(62) // the core's published pattern count
+	roundRobin := func(n int) []int {
+		lens := make([]int, n)
+		for i := 0; i < cells; i++ {
+			lens[i%n]++
+		}
+		return lens
+	}
 	render := func() string {
 		t := report.New("Ablation: TAM idle bits for s1423 stand-in (74 cells, 62 patterns)",
-			"Chains", "MaxLen", "Idle bits/pattern", "Idle bits total")
-		balanced, _ := scan.Build(c, 4)
-		unbal, _ := scan.BuildUnbalanced(c, []int{40, 20, 10, 4})
+			"Chains", "MaxLen", "Idle bits/pattern (in+out)", "Idle bits total")
 		for _, cfg := range []struct {
 			name string
-			c    scan.Config
-		}{{"4 balanced", balanced}, {"40/20/10/4", unbal}} {
-			t.AddRow(cfg.name, fmt.Sprint(cfg.c.MaxLength()),
-				fmt.Sprint(cfg.c.IdleBitsPerPattern()),
-				report.Int(cfg.c.IdleBits(patterns)))
+			lens []int
+		}{{"4 balanced", roundRobin(4)}, {"40/20/10/4", []int{40, 20, 10, 4}}} {
+			wc := tam.WrapperChains{In: cfg.lens, Out: cfg.lens}
+			t.AddRow(cfg.name, fmt.Sprint(wc.MaxIn()),
+				fmt.Sprint(wc.IdleBitsPerPattern()),
+				report.Int(patterns*wc.IdleBitsPerPattern()))
 		}
 		return t.String()
 	}
 	printHeaderOnce("abl-tam", render())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg, err := scan.Build(c, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !cfg.Balanced() {
+		lens := roundRobin(4)
+		// Balanced chains differ by at most one cell: at most one idle
+		// bit per chain and direction, none on the longest chain.
+		if wc := (tam.WrapperChains{In: lens, Out: lens}); wc.IdleBitsPerPattern() > 2*int64(len(lens)-1) {
 			b.Fatal("round-robin chains must balance")
 		}
 	}

@@ -89,6 +89,9 @@ func run() int {
 				return fail(code, fmt.Errorf("%s failed lint with %d error(s); refusing to run", *one, lr.Count(lint.Error)))
 			}
 		}
+		if err := s.CheckRange(); err != nil {
+			return fail(cli.ExitRuntime, err)
+		}
 		r := s.Analyze()
 		man.SetResult("modules", r.NumModules)
 		man.SetResult("tdv_modular", r.TDVModular)

@@ -130,6 +130,11 @@ func run() int {
 		}
 	}
 
+	// With or without -lint: out-of-range counts would print wrapped volumes.
+	if err := s.CheckRange(); err != nil {
+		return fail(cli.ExitRuntime, err)
+	}
+
 	r := s.Analyze()
 	man.SetResult("modules", r.NumModules)
 	man.SetResult("cores", r.NumCores)

@@ -124,3 +124,33 @@ func TestUsage(t *testing.T) {
 		t.Fatalf("-example: %v\n%s", err, ex)
 	}
 }
+
+// overflowSOC has a module whose Eq. 4 term T·(2S+ISOCOST) exceeds int64;
+// unchecked, it printed a module TDV of −4,893,488,083,419,103,232.
+const overflowSOC = "soc wrap\nmodule CoreA i 8 o 8 b 0 s 4000000000 t 4000000000\ntop CoreA\n"
+
+// TestRefusesOverflowingSOC checks an out-of-range profile is refused
+// before any table is printed, with and without the -lint preflight.
+func TestRefusesOverflowingSOC(t *testing.T) {
+	bin := buildBinary(t)
+	path := filepath.Join(t.TempDir(), "wrap.soc")
+	if err := os.WriteFile(path, []byte(overflowSOC), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"-f", path}, {"-f", path, "-lint"}, {"-f", "-"}} {
+		cmd := exec.Command(bin, args...)
+		cmd.Stdin = strings.NewReader(overflowSOC)
+		var stdout, stderr strings.Builder
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		if code := exitCode(t, err); code != cli.ExitRuntime {
+			t.Fatalf("%v: exit %d, want %d\n%s%s", args, code, cli.ExitRuntime, &stdout, &stderr)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: printed a report for an out-of-range SOC:\n%s", args, &stdout)
+		}
+		if !strings.Contains(stderr.String(), "overflows int64") {
+			t.Errorf("%v: stderr does not name the overflow:\n%s", args, &stderr)
+		}
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/faultsim"
 	"repro/internal/logic"
 	"repro/internal/netlist"
-	"repro/internal/sim"
 )
 
 const c17Bench = `
@@ -351,34 +350,6 @@ func TestRunWithBaseRespectsBase(t *testing.T) {
 	// Unconstrained, the same fault is detectable.
 	if _, status := pd.run(f); status != Detected {
 		t.Fatalf("unconstrained run = %v, want detected", status)
-	}
-}
-
-func TestResponsesMatchSimulator(t *testing.T) {
-	c := mustParse(t, "c17", c17Bench)
-	res := Generate(c, DefaultOptions())
-	responses := res.Responses(c)
-	if len(responses) != len(res.Patterns) {
-		t.Fatalf("responses = %d, patterns = %d", len(responses), len(res.Patterns))
-	}
-	td := res.BuildTesterData(c)
-	if td.TotalBits != td.StimulusBits+td.ResponseBits {
-		t.Error("tester data totals inconsistent")
-	}
-	// Naive full-frame accounting: width x T each way.
-	if td.StimulusBits != int64(len(c.PseudoInputs())*len(res.Patterns)) {
-		t.Errorf("stimulus bits = %d", td.StimulusBits)
-	}
-	if td.ResponseBits != int64(len(c.PseudoOutputs())*len(res.Patterns)) {
-		t.Errorf("response bits = %d", td.ResponseBits)
-	}
-	// Cross-check a few responses against the serial simulator.
-	s := sim.New(c)
-	for k := 0; k < len(res.Patterns) && k < 5; k++ {
-		want := s.Simulate(res.Patterns[k])
-		if responses[k].String() != want.String() {
-			t.Fatalf("pattern %d: response %v, want %v", k, responses[k], want)
-		}
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"repro/internal/faultsim"
 	"repro/internal/logic"
 	"repro/internal/netlist"
-	"repro/internal/sim"
 )
 
 // sameSearch runs one fault through the incremental search and the
@@ -156,10 +155,10 @@ func TestImplyMatchesFullPass(t *testing.T) {
 
 // TestEvalSpecMatchesEvalGate pins the five-valued fold semantics: for
 // every gate type at every legal arity up to 4 and all 5^k input vectors,
-// the compiled-form evaluator equals sim.EvalGate. EvalGate left-folds with
-// an X collapse at each step, so OR(D, X, D̄) = X although an exact
-// good/bad pair evaluation gives 1; an evaluator that "fixed" this would
-// change the search and with it every pattern count T_i.
+// the compiled-form evaluator equals faultsim.EvalGate. EvalGate
+// left-folds with an X collapse at each step, so OR(D, X, D̄) = X although
+// an exact good/bad pair evaluation gives 1; an evaluator that "fixed"
+// this would change the search and with it every pattern count T_i.
 func TestEvalSpecMatchesEvalGate(t *testing.T) {
 	all := []logic.V{logic.Zero, logic.One, logic.X, logic.D, logic.DBar}
 	types := []netlist.GateType{netlist.Buf, netlist.Not, netlist.And, netlist.Nand,
@@ -195,7 +194,7 @@ func TestEvalSpecMatchesEvalGate(t *testing.T) {
 					in[i] = all[x%len(all)]
 					vals[fanin[i]] = in[i]
 				}
-				want := sim.EvalGate(typ, in)
+				want := faultsim.EvalGate(typ, in)
 				if got := evalSpec(spec, vals, -1, logic.X); got != want {
 					t.Fatalf("%v%v: evalSpec %v, EvalGate %v", typ, in, got, want)
 				}
@@ -212,7 +211,7 @@ func TestEvalSpecMatchesEvalGate(t *testing.T) {
 			}
 		}
 	}
-	or3 := sim.EvalGate(netlist.Or, []logic.V{logic.D, logic.X, logic.DBar})
+	or3 := faultsim.EvalGate(netlist.Or, []logic.V{logic.D, logic.X, logic.DBar})
 	if or3 != logic.X {
 		t.Errorf("OR(D, X, D̄) = %v, want the folded X", or3)
 	}

@@ -2,16 +2,16 @@ package atpg
 
 import (
 	"repro/internal/faults"
+	"repro/internal/faultsim"
 	"repro/internal/logic"
 	"repro/internal/netlist"
-	"repro/internal/sim"
 )
 
 // refPodem is the full-pass PODEM the incremental search replaced, kept
 // verbatim (minus the time budget and the counters) as the differential
 // reference: every implication resets all values to X and re-evaluates the
-// whole circuit in topological order with sim.EvalGate, and the D-frontier
-// and X-path checks are full passes too. The search loop, objective and
+// whole circuit in topological order with faultsim.EvalGate, and the
+// D-frontier and X-path checks are full passes too. The search loop, objective and
 // backtrace are the same algorithm, so for every fault and base cube the
 // two must return the identical cube, status and backtrack count.
 type refPodem struct {
@@ -168,7 +168,7 @@ func (p *refPodem) imply(stack []assignment) {
 				in[j] = faultyValue(in[j], p.fault.Stuck)
 			}
 		}
-		v := sim.EvalGate(g.Type, in)
+		v := faultsim.EvalGate(g.Type, in)
 		// Stem fault on a combinational gate: the line downstream of the
 		// gate carries the faulty composite value.
 		if p.fault.Pin == faults.StemPin && p.fault.Gate == id {

@@ -30,6 +30,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Params are the test parameters of one module: port counts, internal scan
@@ -247,6 +248,77 @@ func (s *SOC) Benefit(tmono int) int64 {
 // term of the exact Equation 6 identity (see the package comment).
 func (s *SOC) ChipPortTerm(tmono int) int64 {
 	return s.Top.PortBits() * int64(tmono)
+}
+
+// CheckRange reports whether every Equation 1–8 quantity of the SOC fits in
+// int64. The TDV methods compute in plain int64 arithmetic, so a profile
+// with large counts (s and t of 4·10^9 on one module, say) would otherwise
+// wrap to a plausible-looking wrong, even negative, volume. Callers that
+// accept profiles from outside run CheckRange before Analyze; the error
+// names the first term out of range. Negative counts are rejected too.
+//
+// It bounds each module's port bits, ISOCOST (Eq. 5), 2S+ISOCOST and Eq. 4
+// term, TDV_modular, S_chip, the chip frame bits and their products with
+// T_max (Eq. 3) and T_mono (Eq. 1). That covers the rest: the penalty
+// (Eq. 7) is at most TDV_modular term by term, and the benefit (Eq. 8) and
+// the chip-port term at most the frame bits times the same pattern count.
+func (s *SOC) CheckRange() error {
+	if s.TMono < 0 {
+		return fmt.Errorf("core: T_mono %d is negative", s.TMono)
+	}
+	var rc rangeCheck
+	var modular, scan, tmax uint64
+	for _, m := range s.Modules() {
+		if m.Inputs < 0 || m.Outputs < 0 || m.Bidirs < 0 || m.ScanCells < 0 || m.Patterns < 0 {
+			return fmt.Errorf("core: module %s has a negative count", m.Name)
+		}
+		var iso uint64
+		if !m.PortsTesterAccessible {
+			iso = rc.portBits(m)
+		}
+		for _, ch := range m.Children {
+			iso = rc.add(m.Name, "ISOCOST (Eq. 5)", iso, rc.portBits(ch))
+		}
+		per := rc.add(m.Name, "2S+ISOCOST", rc.mul(m.Name, "2S", 2, uint64(m.ScanCells)), iso)
+		term := rc.mul(m.Name, "Eq. 4 term T·(2S+ISOCOST)", uint64(m.Patterns), per)
+		modular = rc.add("", "TDV_modular (Eq. 4)", modular, term)
+		scan = rc.add("", "S_chip", scan, uint64(m.ScanCells))
+		tmax = max(tmax, uint64(m.Patterns))
+	}
+	frame := rc.add("", "chip frame bits I+O+2B+2S", rc.portBits(s.Top), rc.mul("", "2S_chip", 2, scan))
+	rc.mul("", "TDV_mono_opt (Eq. 3) frame bits·T_max", frame, tmax)
+	rc.mul("", "TDV_mono (Eq. 1) frame bits·T_mono", frame, uint64(s.TMono))
+	return rc.err
+}
+
+// rangeCheck computes CheckRange's unsigned sums and products and keeps,
+// as its error, the first result that exceeds math.MaxInt64.
+type rangeCheck struct{ err error }
+
+func (rc *rangeCheck) add(module, term string, a, b uint64) uint64 {
+	sum, carry := bits.Add64(a, b, 0)
+	return rc.keep(module, term, "+", a, b, carry, sum)
+}
+
+func (rc *rangeCheck) mul(module, term string, a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return rc.keep(module, term, "·", a, b, hi, lo)
+}
+
+func (rc *rangeCheck) keep(module, term, op string, a, b, hi, lo uint64) uint64 {
+	if rc.err == nil && (hi != 0 || lo > math.MaxInt64) {
+		if module != "" {
+			term = "module " + module + ": " + term
+		}
+		rc.err = fmt.Errorf("core: %s = %d %s %d overflows int64", term, a, op, b)
+	}
+	return lo
+}
+
+// portBits is Params.PortBits, range-checked.
+func (rc *rangeCheck) portBits(m *Module) uint64 {
+	io := rc.add(m.Name, "port bits I+O+2B", uint64(m.Inputs), uint64(m.Outputs))
+	return rc.add(m.Name, "port bits I+O+2B", io, rc.mul(m.Name, "2B", 2, uint64(m.Bidirs)))
 }
 
 // Report is the complete monolithic-vs-modular comparison for one SOC.

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -229,6 +230,68 @@ func TestBenefitPanicsOnEq2Violation(t *testing.T) {
 	}()
 	s := soc1()
 	s.Benefit(10) // far below max core pattern count 85
+}
+
+// TestCheckRange pins the int64 boundary of the TDV terms: a module whose
+// Eq. 4 term is exactly math.MaxInt64 passes and evaluates to that value;
+// one more port bit is refused, as is each other overflowing term, a
+// negative count, and the profile that once printed a negative module TDV.
+func TestCheckRange(t *testing.T) {
+	for _, s := range []*SOC{soc1(), soc2()} {
+		if err := s.CheckRange(); err != nil {
+			t.Errorf("%s: %v", s.Name, err)
+		}
+	}
+	edge := &SOC{Name: "edge", Top: &Module{Name: "A", Params: Params{Inputs: math.MaxInt64, Patterns: 1}}}
+	if err := edge.CheckRange(); err != nil {
+		t.Fatalf("edge: %v", err)
+	}
+	if r := edge.Analyze(); r.TDVModular != math.MaxInt64 || r.TDVMonoOpt != math.MaxInt64 {
+		t.Errorf("edge: modular %d, mono_opt %d, want MaxInt64", r.TDVModular, r.TDVMonoOpt)
+	}
+
+	mod := func(name string, p Params, kids ...*Module) *Module {
+		return &Module{Name: name, Params: p, Children: kids}
+	}
+	half := math.MaxInt64 / 2
+	withTMono := soc1()
+	withTMono.TMono = math.MaxInt64 / 100
+	cases := []struct {
+		name, module, term string
+		s                  *SOC
+	}{
+		{"port bits", "A", "port bits", &SOC{Top: mod("A", Params{Inputs: math.MaxInt64, Outputs: 1, Patterns: 1})}},
+		{"2B", "A", "2B", &SOC{Top: mod("A", Params{Bidirs: half + 1})}},
+		{"ISOCOST", "T", "ISOCOST", &SOC{Top: mod("T", Params{Inputs: half + 1},
+			mod("A", Params{Outputs: half + 1}))}},
+		{"wrap", "CoreA", "Eq. 4 term", &SOC{Top: mod("CoreA",
+			Params{Inputs: 8, Outputs: 8, ScanCells: 4000000000, Patterns: 4000000000})}},
+		{"modular", "", "TDV_modular", &SOC{Top: mod("T", Params{},
+			mod("A", Params{ScanCells: 1 << 40, Patterns: 1 << 21}), mod("B", Params{ScanCells: 1 << 40, Patterns: 1 << 21}))}},
+		{"S_chip", "", "S_chip", &SOC{Top: mod("T", Params{ScanCells: half},
+			mod("A", Params{ScanCells: half}), mod("B", Params{ScanCells: half}))}},
+		{"mono_opt", "", "TDV_mono_opt", &SOC{Top: mod("T", Params{Inputs: 1 << 40, Patterns: 1},
+			mod("A", Params{Patterns: 1 << 30}))}},
+		{"mono", "", "TDV_mono (Eq. 1)", withTMono},
+	}
+	for _, tc := range cases {
+		want := "core: " + tc.term
+		if tc.module != "" {
+			want = "core: module " + tc.module + ": " + tc.term
+		}
+		if err := tc.s.CheckRange(); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%s: CheckRange = %v, want %q…", tc.name, err, want)
+		}
+	}
+	neg := &SOC{Top: mod("A", Params{ScanCells: -1, Patterns: 1})}
+	if err := neg.CheckRange(); err == nil || !strings.Contains(err.Error(), "negative") {
+		t.Errorf("negative scan count: CheckRange = %v", err)
+	}
+	negMono := soc1()
+	negMono.TMono = -1
+	if err := negMono.CheckRange(); err == nil || !strings.Contains(err.Error(), "negative") {
+		t.Errorf("negative T_mono: CheckRange = %v", err)
+	}
 }
 
 func TestTDVMonoUnmeasured(t *testing.T) {

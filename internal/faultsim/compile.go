@@ -187,13 +187,13 @@ func Compile(c *netlist.Circuit) *Program {
 // Circuit returns the circuit the program was compiled from.
 func (p *Program) Circuit() *netlist.Circuit { return p.c }
 
-// Load packs up to 64 stimulus cubes into the source words of the value
-// array (one bit per pattern, X loaded as 0 — the engine's deterministic
-// X-fill convention) and returns the mask covering the valid pattern bits.
+// Load packs up to WordBits stimulus cubes into the source words of the
+// value array (one bit per pattern, X loaded as 0 — the engine's
+// deterministic X-fill convention) and returns the mask covering the valid pattern bits.
 // words must have length NumGates.
 func (p *Program) Load(words []uint64, batch []logic.Cube) uint64 {
-	if len(batch) == 0 || len(batch) > 64 {
-		panic(fmt.Sprintf("faultsim: Program.Load batch size %d out of range 1..64", len(batch)))
+	if len(batch) == 0 || len(batch) > WordBits {
+		panic(fmt.Sprintf("faultsim: Program.Load batch size %d out of range 1..%d", len(batch), WordBits))
 	}
 	for i := range words {
 		words[i] = 0
@@ -209,7 +209,7 @@ func (p *Program) Load(words []uint64, batch []logic.Cube) uint64 {
 			}
 		}
 	}
-	if len(batch) >= 64 {
+	if len(batch) >= WordBits {
 		return ^uint64(0)
 	}
 	return (uint64(1) << uint(len(batch))) - 1

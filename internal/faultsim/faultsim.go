@@ -4,9 +4,9 @@
 // a levelized evaluation Program, 64 patterns are packed per machine word,
 // the good circuit is evaluated in one word-wide pass per batch, and each
 // fault is then propagated event-driven through its fanout cone only. Two
-// deliberately independent reference implementations cross-check it: the
-// pattern-at-a-time serial engine (SerialSimulate/SerialDetects, any input
-// width) and the exhaustive brute-force Oracle (<= 16 inputs).
+// references, sharing one plain-bool evaluator and nothing with the Engine,
+// cross-check it: the pattern-at-a-time serial engine (SerialSimulate,
+// SerialDetects; any input width) and the exhaustive Oracle (<= 16 inputs).
 package faultsim
 
 import (
@@ -19,11 +19,13 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/sim"
 )
 
 // Undetected marks a fault with no detecting pattern.
 const Undetected = -1
+
+// WordBits is the number of patterns evaluated in parallel, one per bit.
+const WordBits = 64
 
 // Result reports the outcome of simulating a pattern set against a fault
 // list. Faults and DetectedBy are parallel: DetectedBy[i] is the index of
@@ -289,7 +291,7 @@ func (e *Engine) ApplyContext(ctx context.Context, patterns []logic.Cube) (int, 
 
 func (e *Engine) apply(ctx context.Context, patterns []logic.Cube) (int, error) {
 	newly := 0
-	for off := 0; off < len(patterns); off += sim.WordBits {
+	for off := 0; off < len(patterns); off += WordBits {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				// Account only the patterns actually simulated.
@@ -297,7 +299,7 @@ func (e *Engine) apply(ctx context.Context, patterns []logic.Cube) (int, error) 
 				return newly, err
 			}
 		}
-		end := off + sim.WordBits
+		end := off + WordBits
 		if end > len(patterns) {
 			end = len(patterns)
 		}
@@ -609,8 +611,8 @@ func FailingPositions(c *netlist.Circuit, patterns []logic.Cube, f faults.Fault)
 	e := NewEngine(c, []faults.Fault{f})
 	out := make(map[int][]int)
 	perPPO := make([]uint64, len(e.ppos))
-	for off := 0; off < len(patterns); off += sim.WordBits {
-		end := off + sim.WordBits
+	for off := 0; off < len(patterns); off += WordBits {
+		end := off + WordBits
 		if end > len(patterns) {
 			end = len(patterns)
 		}

@@ -33,10 +33,10 @@ func AllPatterns(width int) []logic.Cube {
 }
 
 // Oracle is a brute-force reference fault simulator, deliberately sharing
-// no machinery with the bit-parallel Engine or the recursive serial
-// reference: one pattern at a time, plain bools, a full faulty-circuit
-// re-evaluation per fault, no epochs, no dropping, no memoization. It is
-// the third, slowest, most obviously-correct implementation that the
+// no machinery with the bit-parallel Engine: every pattern against every
+// fault, each pair checked with the serial reference's full good and
+// faulty passes over plain bools; no epochs, no dropping, no cone pruning.
+// It is the slowest, most obviously-correct implementation that the
 // differential tests pit the fast ones against.
 type Oracle struct {
 	c *netlist.Circuit
@@ -50,48 +50,11 @@ func NewOracle(c *netlist.Circuit) *Oracle {
 	return &Oracle{c: c}
 }
 
-// noFault marks an eval call with no injection.
+// noFault marks a serialEval call with no injection.
 var noFault = faults.Fault{Gate: -1}
 
-// eval computes every gate's value for one pattern (X loaded as 0, the
-// engine's convention). When inject is a real fault, its effect is applied
-// at the site: a stem fault pins the site's value, a branch fault re-reads
-// one fanin as the stuck value.
-func (o *Oracle) eval(p logic.Cube, inject faults.Fault) []bool {
-	vals := make([]bool, o.c.NumGates())
-	for i, id := range o.c.PseudoInputs() {
-		vals[id] = p[i] == logic.One
-	}
-	stuck := inject.Stuck == logic.One
-	injecting := inject.Gate >= 0
-	if injecting && inject.Pin == faults.StemPin {
-		// A stem site that is a pseudo input (Input or DFF output) never
-		// appears in the combinational topo order; pin it here.
-		g := o.c.Gate(inject.Gate)
-		if g.Type == netlist.Input || g.Type == netlist.DFF {
-			vals[inject.Gate] = stuck
-		}
-	}
-	for _, id := range o.c.TopoOrder() {
-		g := o.c.Gate(id)
-		if injecting && id == inject.Gate && inject.Pin == faults.StemPin {
-			vals[id] = stuck
-			continue
-		}
-		in := make([]bool, len(g.Fanin))
-		for j, fin := range g.Fanin {
-			in[j] = vals[fin]
-		}
-		if injecting && id == inject.Gate && inject.Pin != faults.StemPin {
-			in[inject.Pin] = stuck
-		}
-		vals[id] = evalBool(g.Type, in)
-	}
-	return vals
-}
-
-// evalBool is the oracle's own gate evaluator — independent of
-// sim.EvalGateWord on purpose.
+// evalBool is the two-valued gate evaluator of the serial reference and the
+// oracle — independent of the compiled Program's opcodes on purpose.
 func evalBool(t netlist.GateType, in []bool) bool {
 	switch t {
 	case netlist.Buf:
@@ -130,27 +93,13 @@ func evalBool(t netlist.GateType, in []bool) bool {
 	case netlist.Const1:
 		return true
 	}
-	panic(fmt.Sprintf("faultsim: oracle eval on non-combinational gate type %v", t))
+	panic(fmt.Sprintf("faultsim: evalBool on non-combinational gate type %v", t))
 }
 
 // Detects reports whether pattern p detects fault f: any pseudo output of
 // the faulty circuit differs from the good circuit.
 func (o *Oracle) Detects(p logic.Cube, f faults.Fault) bool {
-	good := o.eval(p, noFault)
-	g := o.c.Gate(f.Gate)
-	if f.Pin != faults.StemPin && g.Type == netlist.DFF {
-		// Branch fault on a DFF data pin: the capture is stuck, observed
-		// at that flop's response position; detection is the good driver
-		// value differing from the stuck value.
-		return good[g.Fanin[f.Pin]] != (f.Stuck == logic.One)
-	}
-	bad := o.eval(p, f)
-	for _, id := range o.c.PseudoOutputs() {
-		if good[id] != bad[id] {
-			return true
-		}
-	}
-	return false
+	return SerialDetects(o.c, p, f)
 }
 
 // Simulate brute-forces the first-detection table of the pattern set: for

@@ -1,6 +1,8 @@
 package faultsim
 
 import (
+	"fmt"
+
 	"repro/internal/faults"
 	"repro/internal/logic"
 	"repro/internal/netlist"
@@ -92,6 +94,36 @@ func serialEval(c *netlist.Circuit, p logic.Cube, inject faults.Fault, vals []bo
 	}
 }
 
+// EvalGate evaluates one combinational gate over five-valued fanin values
+// as a left fold of the logic package's operators, so OR(D, X, D̄) is X: the
+// reference PODEM's compiled evaluator and the SAT encoder are tested
+// against. It panics on source gate types (Input, DFF).
+func EvalGate(t netlist.GateType, in []logic.V) logic.V {
+	switch t {
+	case netlist.Buf:
+		return in[0]
+	case netlist.Not:
+		return logic.Not(in[0])
+	case netlist.And:
+		return logic.AndN(in...)
+	case netlist.Nand:
+		return logic.Not(logic.AndN(in...))
+	case netlist.Or:
+		return logic.OrN(in...)
+	case netlist.Nor:
+		return logic.Not(logic.OrN(in...))
+	case netlist.Xor:
+		return logic.XorN(in...)
+	case netlist.Xnor:
+		return logic.Not(logic.XorN(in...))
+	case netlist.Const0:
+		return logic.Zero
+	case netlist.Const1:
+		return logic.One
+	}
+	panic(fmt.Sprintf("faultsim: EvalGate on non-combinational gate type %v", t))
+}
+
 // serialPatternDetects reports whether pattern p detects fault f, given the
 // good-circuit values already evaluated for p. The faulty circuit is fully
 // re-evaluated into bad (caller-owned scratch).
@@ -123,8 +155,8 @@ func SerialDetects(c *netlist.Circuit, pattern logic.Cube, f faults.Fault) bool 
 
 // SerialFailingOutputs returns the pseudo-output frame positions at which
 // the faulty machine differs from the good one for the pattern (empty when
-// the pattern does not detect the fault). Package diag builds fault
-// dictionaries from it.
+// the pattern does not detect the fault): the reference the engine's
+// FailingPositions is tested against.
 func SerialFailingOutputs(c *netlist.Circuit, pattern logic.Cube, f faults.Fault) []int {
 	good := make([]bool, c.NumGates())
 	serialEval(c, pattern, noFault, good)

@@ -9,13 +9,12 @@ import (
 	"repro/internal/faults"
 	"repro/internal/logic"
 	"repro/internal/netlist"
-	"repro/internal/sim"
 )
 
 // memoFailingOutputs is the earlier, structurally different implementation
 // of SerialFailingOutputs, kept as a differential reference: recursive
 // demand-driven evaluation from each pseudo output with map memoization,
-// gates evaluated by sim.EvalGate over five-valued inputs.
+// gates evaluated by EvalGate over five-valued inputs.
 func memoFailingOutputs(c *netlist.Circuit, pattern logic.Cube, f faults.Fault) []int {
 	ppis := c.PseudoInputs()
 	if len(pattern) != len(ppis) {
@@ -42,7 +41,7 @@ func memoFailingOutputs(c *netlist.Circuit, pattern logic.Cube, f faults.Fault) 
 				vals[j] = logic.FromBool(eval(fin))
 			}
 		}
-		return sim.EvalGate(g.Type, vals) == logic.One
+		return EvalGate(g.Type, vals) == logic.One
 	}
 
 	evalGood = func(id netlist.GateID) bool {

@@ -31,7 +31,10 @@ import (
 // WriteSOC serializes the SOC profile.
 func WriteSOC(w io.Writer, s *core.SOC) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "soc %s\n", s.Name)
+	// An empty "soc" line would not reparse; the directive is optional.
+	if s.Name != "" {
+		fmt.Fprintf(bw, "soc %s\n", s.Name)
+	}
 	fmt.Fprintf(bw, "tmono %d\n", s.TMono)
 	for _, m := range s.Modules() {
 		fmt.Fprintf(bw, "module %s i %d o %d b %d s %d t %d",

@@ -293,6 +293,44 @@ func TestCommittedProfilesLintClean(t *testing.T) {
 	}
 }
 
+// TestSOC014Overflow: a profile whose TDV terms wrap int64 is an error
+// naming the module and term, from source and from a built profile, while
+// every committed ITC'02 profile stays in range on both paths.
+func TestSOC014Overflow(t *testing.T) {
+	src := "soc wrap\nmodule CoreA i 8 o 8 b 0 s 4000000000 t 4000000000\ntop CoreA\n"
+	r := CheckSOCSource("wrap.soc", src)
+	if r.Count(Error) != 1 || !hasRule(r, "SOC014") {
+		t.Fatalf("want exactly one error, SOC014; got %v", rulesOf(r))
+	}
+	for _, d := range r.Diags {
+		if d.Rule == "SOC014" && !strings.Contains(d.Msg, "module CoreA: Eq. 4 term") {
+			t.Errorf("SOC014 message %q does not name the module and term", d.Msg)
+		}
+	}
+	s, err := itc02.ParseSOCString(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := CheckSOC(s); !hasRule(r, "SOC014") {
+		t.Errorf("CheckSOC missed the overflow: %v", rulesOf(r))
+	}
+	// An SOC-level term: T_mono times the chip frame.
+	r = CheckSOCSource("mono.soc", "soc m\ntmono 9223372036854775807\nmodule A i 2 t 1\ntop A\n")
+	if !hasRule(r, "SOC014") {
+		t.Errorf("T_mono overflow missed: %v", rulesOf(r))
+	}
+
+	socs, err := itc02.AllSOCs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range append([]*core.SOC{itc02.P34392()}, socs...) {
+		if hasRule(CheckSOC(s), "SOC014") || hasRule(CheckSOCSource(s.Name, itc02.SOCString(s)), "SOC014") {
+			t.Errorf("committed profile %s trips SOC014", s.Name)
+		}
+	}
+}
+
 // TestGeneratedStandinsLintClean: every bench89 stand-in circuit the repo
 // generates must be structurally sound — no error-severity findings and
 // no dead logic. Generation is randomized by profile seed, so warnings

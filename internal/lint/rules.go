@@ -45,6 +45,7 @@ var Catalog = []Rule{
 	{"SOC011", Info, "T_mono unmeasured: only the optimistic Eq. 3 bound applies"},
 	{"SOC012", Warning, "module tests zero data: patterns > 0 but no ports, scan cells or children"},
 	{"SOC013", Warning, "unschedulable core: more pre-stitched scan chains than the TAM width ceiling"},
+	{"SOC014", Error, "TDV term overflows int64: counts too large for Eqs. 1-8 (the volume would wrap)"},
 }
 
 var ruleByID = func() map[string]Rule {

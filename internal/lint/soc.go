@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/coopt"
 	"repro/internal/core"
+	"repro/internal/itc02"
 )
 
 // socModule is the lenient scanner's record of one module line.
@@ -230,15 +231,30 @@ func CheckSOCSource(file, src string) *Report {
 		r.Add("SOC011", Pos{File: file}, "",
 			"T_mono unmeasured: only the optimistic Eq. 3 bound TDV_mono_opt applies")
 	}
+	// The range rule evaluates the TDV terms of the strictly parsed profile.
+	if !r.HasErrors() {
+		if s, err := itc02.ParseSOCString(src); err == nil {
+			checkRange(r, file, s)
+		}
+	}
 	r.Sort()
 	return r
+}
+
+// checkRange applies SOC014: every Eq. 1–8 term must fit in int64, or the
+// TDV report would carry a wrapped, plausible-looking wrong number.
+func checkRange(r *Report, file string, s *core.SOC) {
+	if err := s.CheckRange(); err != nil {
+		r.Add("SOC014", Pos{File: file}, "",
+			"%s: the TDV equations cannot be evaluated", strings.TrimPrefix(err.Error(), "core: "))
+	}
 }
 
 // CheckSOC lints an already-built SOC profile — the entry point for
 // programmatic profiles (e.g. the committed ITC'02 tables) and the socx
 // -lint preflight. Structural tree properties are guaranteed by
-// construction there, so only the bookkeeping and TDV-precondition rules
-// (SOC008–SOC012) apply. Positions carry the SOC name as the file.
+// construction there, so only the bookkeeping, TDV-precondition and range
+// rules (SOC008–SOC014) apply. Positions carry the SOC name as the file.
 func CheckSOC(s *core.SOC) *Report {
 	r := &Report{}
 	pos := Pos{File: s.Name}
@@ -254,6 +270,7 @@ func CheckSOC(s *core.SOC) *Report {
 		r.Add("SOC011", pos, "",
 			"T_mono unmeasured: only the optimistic Eq. 3 bound TDV_mono_opt applies")
 	}
+	checkRange(r, s.Name, s)
 	r.Sort()
 	return r
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/faultsim"
 	"repro/internal/netlist"
-	"repro/internal/sim"
 )
 
 // TestCheckProgramFixtures proves every committed fixture's compiled
@@ -60,12 +59,12 @@ func TestCheckProgramCatchesMiscompile(t *testing.T) {
 	if res.Counterexample == nil {
 		t.Fatalf("expected a counterexample, got reason %q", res.Reason)
 	}
-	rAnd := sim.New(cAnd).Simulate(res.Counterexample)
-	rOr := sim.New(cOr).Simulate(res.Counterexample)
-	if res.FramePos < 0 || res.FramePos >= len(rAnd) {
+	if res.FramePos < 0 || res.FramePos >= len(cAnd.PseudoOutputs()) {
 		t.Fatalf("frame position %d out of range", res.FramePos)
 	}
-	if rAnd[res.FramePos] == rOr[res.FramePos] {
+	rAnd := simulate(cAnd, res.Counterexample)[cAnd.PseudoOutputs()[res.FramePos]]
+	rOr := simulate(cOr, res.Counterexample)[cOr.PseudoOutputs()[res.FramePos]]
+	if rAnd == rOr {
 		t.Fatalf("counterexample %s does not distinguish the circuits at position %d",
 			res.Counterexample, res.FramePos)
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/faultsim"
 	"repro/internal/logic"
 	"repro/internal/netlist"
-	"repro/internal/sim"
 )
 
 // TestProveFaultMatchesOracle is the exhaustive cross-check: on every
@@ -150,16 +149,15 @@ func TestAnalyzerConstantNet(t *testing.T) {
 			continue
 		}
 		patterns := faultsim.AllPatterns(width)
-		simValues := make([][]bool, len(patterns))
-		simr := newBoolSim(c)
+		simValues := make([][]logic.V, len(patterns))
 		for k, p := range patterns {
-			simValues[k] = simr.eval(p)
+			simValues[k] = simulate(c, p)
 		}
 		a := NewAnalyzer(c)
 		for id := netlist.GateID(0); int(id) < c.NumGates(); id++ {
 			always0, always1 := true, true
 			for k := range patterns {
-				if simValues[k][id] {
+				if simValues[k][id] == logic.One {
 					always0 = false
 				} else {
 					always1 = false
@@ -176,29 +174,4 @@ func TestAnalyzerConstantNet(t *testing.T) {
 			}
 		}
 	}
-}
-
-// boolSim is a minimal two-valued evaluator used only by tests.
-type boolSim struct {
-	c *netlist.Circuit
-}
-
-func newBoolSim(c *netlist.Circuit) *boolSim { return &boolSim{c: c} }
-
-func (b *boolSim) eval(p logic.Cube) []bool {
-	c := b.c
-	vals := make([]bool, c.NumGates())
-	for i, id := range c.PseudoInputs() {
-		vals[id] = p[i] == logic.One
-	}
-	in := make([]logic.V, 0, 8)
-	for _, id := range c.TopoOrder() {
-		g := c.Gate(id)
-		in = in[:0]
-		for _, f := range g.Fanin {
-			in = append(in, logic.FromBool(vals[f]))
-		}
-		vals[id] = sim.EvalGate(g.Type, in) == logic.One
-	}
-	return vals
 }

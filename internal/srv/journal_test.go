@@ -167,18 +167,21 @@ func TestJournalReplayEdgeCases(t *testing.T) {
 }
 
 // TestJournalReplaySkipsEq2Violation: a journaled tdv admission whose
-// tmono violates Eq. 2 (written before admission checked it) is skipped
-// and counted at replay — never run into the engine's panic — while the
-// valid admission next to it still replays.
+// tmono violates Eq. 2, or whose profile overflows the TDV terms (both
+// written before admission checked them), is skipped and counted at
+// replay — never run into the engine's panic or a wrapped report — while
+// the valid admission next to them still replays.
 func TestJournalReplaySkipsEq2Violation(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "journal.jsonl")
 	low := 1
 	badReq, _ := json.Marshal(tdvRequest{Builtin: "d695", TMono: &low})
+	wrapReq, _ := json.Marshal(tdvRequest{SOC: overflowSOC})
 	goodReq, _ := json.Marshal(tdvRequest{Builtin: "d695"})
 	var buf strings.Builder
 	buf.WriteString(journalLine(t, journalRecord{V: 1, Op: opAdmit, Job: "j1", Seq: 1, Kind: "tdv", Req: badReq}))
 	buf.WriteString(journalLine(t, journalRecord{V: 1, Op: opAdmit, Job: "j2", Seq: 2, Kind: "tdv", Req: goodReq}))
+	buf.WriteString(journalLine(t, journalRecord{V: 1, Op: opAdmit, Job: "j3", Seq: 3, Kind: "tdv", Req: wrapReq}))
 	if err := os.WriteFile(jpath, []byte(buf.String()), 0o666); err != nil {
 		t.Fatal(err)
 	}
@@ -189,8 +192,11 @@ func TestJournalReplaySkipsEq2Violation(t *testing.T) {
 	if s.lookup("j1") != nil {
 		t.Error("Eq. 2-violating admission was replayed")
 	}
+	if s.lookup("j3") != nil {
+		t.Error("out-of-range admission was replayed")
+	}
 	for name, want := range map[string]int64{
-		"srv.journal.unsupported": 1,
+		"srv.journal.unsupported": 2,
 		"srv.journal.replayed":    1,
 		"srv.jobs.failed":         0,
 	} {

@@ -211,18 +211,23 @@ func TestTDVEndpoint(t *testing.T) {
 
 // TestTDVRejectsTMonoViolatingEq2: a tmono below the largest module pattern
 // count (or a negative one), whether from the request or from the .soc
-// source's own tmono line, is a 400 naming the violated equation. Nothing
-// is queued, run, failed or cached.
+// source's own tmono line, is a 400 naming the violated equation. So is a
+// profile whose TDV terms would wrap int64, inline or through a tmono
+// override, and its 400 names the term. Nothing is queued, run, failed or
+// cached.
 func TestTDVRejectsTMonoViolatingEq2(t *testing.T) {
 	s, reg := newTestServer(t, Config{Workers: 1})
 	h := s.Handler()
 	lowSOC, _ := json.Marshal(map[string]any{
 		"soc": "soc low\ntmono 5\nmodule Top i 4 o 4 b 0 s 0 t 3 children A\nmodule A i 2 o 2 b 0 s 10 t 40\ntop Top\n",
 	})
+	wrapSOC, _ := json.Marshal(map[string]any{"soc": overflowSOC})
 	for _, tc := range []struct{ body, want string }{
 		{`{"builtin":"d695","tmono":1}`, "Eq. 2"},
 		{`{"builtin":"d695","tmono":-5}`, "negative"},
 		{string(lowSOC), "Eq. 2"},
+		{string(wrapSOC), "module CoreA: Eq. 4 term"},
+		{`{"builtin":"d695","tmono":9223372036854775807}`, "TDV_mono (Eq. 1)"},
 	} {
 		rec := post(t, h, "/v1/tdv", tc.body)
 		if rec.Code != http.StatusBadRequest {
@@ -250,6 +255,9 @@ func TestTDVRejectsTMonoViolatingEq2(t *testing.T) {
 		t.Errorf("tmono = T_max: %d %s", rec.Code, rec.Body)
 	}
 }
+
+// overflowSOC has a module whose Eq. 4 term T·(2S+ISOCOST) exceeds int64.
+const overflowSOC = "soc wrap\nmodule CoreA i 8 o 8 b 0 s 4000000000 t 4000000000\ntop CoreA\n"
 
 // tmaxOf returns the largest module pattern count of a built-in SOC.
 func tmaxOf(t *testing.T, name string) string {

@@ -225,11 +225,12 @@ func tdvWork(req *tdvRequest) (work, error) {
 	if req.TMono != nil {
 		soc.TMono = *req.TMono
 	}
-	// Eq. 2 (T_mono >= max_i T_i) is a precondition of the benefit term;
-	// a violating tmono, from the request or the .soc source, is the
-	// caller's error, not an engine failure.
-	if soc.TMono < 0 {
-		return work{}, fmt.Errorf("tmono %d is negative", soc.TMono)
+	// Every TDV term must fit in int64, and Eq. 2 (T_mono >= max_i T_i) is
+	// a precondition of the benefit term. A profile or tmono breaking
+	// either is the caller's error, not an engine failure, and must never
+	// put a wrapped report under a content address.
+	if err := soc.CheckRange(); err != nil {
+		return work{}, err
 	}
 	if tmax := soc.MaxPatterns(); soc.TMono > 0 && soc.TMono < tmax {
 		return work{}, fmt.Errorf("tmono %d is below the largest module pattern count %d, violating Eq. 2 (T_mono >= max_i T_i)", soc.TMono, tmax)
